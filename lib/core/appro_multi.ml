@@ -16,6 +16,7 @@ let c_solved = Obs.Counter.make "appro_multi.solved"
 let c_infeasible = Obs.Counter.make "appro_multi.infeasible"
 let c_admitted = Obs.Counter.make "appro_multi.admitted"
 let c_rejected = Obs.Counter.make "appro_multi.rejected"
+let c_price_hits = Obs.Counter.make "appro_multi.price_hits"
 
 (* span + Dijkstra attribution + outcome count around one solve/admit *)
 let observe span ~ok ~err f =
@@ -32,44 +33,64 @@ let default_k = 3
 
 (* Engine sharing across a window is keyed per Sp_window's exactness
    contract: the default base weights are [b_k · c_e] (so the bandwidth's
-   float bits go into the family) pruned by [link_admits _ b_k] (covered
-   by the feasibility bucket). Callers overriding [edge_weight] or
+   float bits go into the family). The capacitated weights are pruned by
+   [link_admits _ b_k] (covered by the feasibility bucket); the
+   uncapacitated ones prune nothing and read no residual, so they live in
+   an epoch-free static engine. Callers overriding [edge_weight] or
    [placement_cost] never reach this path — they keep private engines. *)
 let acquire_engine window ~bandwidth ~capacitated =
   Option.map
     (fun w ->
       let bits = Int64.to_string (Int64.bits_of_float bandwidth) in
-      let family, bucket =
-        if capacitated then
-          ("appro.cap:" ^ bits, Sp_window.bucket w ~bandwidth)
-        else ("appro.all:" ^ bits, -1)
-      in
-      fun ~weight -> Sp_window.engine w ~family ~bucket ~weight)
+      if capacitated then
+        let family = "appro.cap:" ^ bits
+        and bucket = Sp_window.bucket w ~bandwidth in
+        fun ~weight -> Sp_window.engine w ~family ~bucket ~weight
+      else
+        let family = "appro.all:" ^ bits in
+        fun ~weight -> Sp_window.static_engine w ~family ~weight)
     window
 
-let candidates_impl ?(k = default_k) ?engine ?edge_weight ?placement_cost ~keep
-    ~usable_servers net request =
+(* every feasible candidate, folded in subset enumeration order *)
+let fold_candidates ?(k = default_k) ?engine ?edge_weight ?placement_cost ~keep
+    ~usable_servers net request f init =
   if k < 1 then invalid_arg "Appro_multi: K must be at least 1";
   let aux =
     Aux_graph.build ~keep ?edge_weight ?placement_cost ?engine ~net ~request
       ~candidate_servers:usable_servers ()
   in
   let reachable = Aux_graph.reachable_servers aux in
-  let found = ref [] in
+  let acc = ref init in
   Combinations.iter_subsets_up_to reachable k (fun subset ->
       let sm = Aux_graph.subset_metric aux subset in
       match Aux_graph.steiner_tree sm with
       | None -> ()
       | Some edges ->
         let c = Aux_graph.tree_cost sm edges in
-        if c < infinity then found := (c, subset, aux, edges) :: !found);
-  (* deterministic order: cost, then subset size, then the subset itself
-     (equal-cost trees are common — a superset whose extra servers go
-     unused costs the same as its subset) *)
-  List.sort
-    (fun (ca, sa, _, _) (cb, sb, _, _) ->
-      compare (ca, List.length sa, sa) (cb, List.length sb, sb))
-    !found
+        if c < infinity then acc := f (c, subset, aux, edges) !acc);
+  !acc
+
+(* deterministic order: cost, then subset size, then the subset itself
+   (equal-cost trees are common — a superset whose extra servers go
+   unused costs the same as its subset) *)
+let rank (ca, sa, _, _) (cb, sb, _, _) =
+  compare (ca, List.length sa, sa) (cb, List.length sb, sb)
+
+let candidates_impl ?k ?engine ?edge_weight ?placement_cost ~keep
+    ~usable_servers net request =
+  List.sort rank
+    (fold_candidates ?k ?engine ?edge_weight ?placement_cost ~keep
+       ~usable_servers net request List.cons [])
+
+(* the head of [candidates_impl] without building or sorting the rest:
+   subsets are distinct, so the minimum under [rank] is unique *)
+let best_candidate ?k ?engine ~keep ~usable_servers net request =
+  fold_candidates ?k ?engine ~keep ~usable_servers net request
+    (fun c best ->
+      match best with
+      | Some b when rank b c <= 0 -> best
+      | _ -> Some c)
+    None
 
 (* The [combinations] field always reports the size of the explored
    search space: the number of non-empty server subsets of size ≤ K drawn
@@ -88,9 +109,9 @@ let solve_with ?k ?engine ~keep ~usable_servers net request =
   observe "appro_multi.solve" ~ok:c_solved ~err:c_infeasible @@ fun () ->
   if usable_servers = [] then Error "no usable server"
   else
-    match candidates_impl ?k ?engine ~keep ~usable_servers net request with
-    | [] -> Error "no feasible pseudo-multicast tree"
-    | (aux_cost, subset, aux, edges) :: _ ->
+    match best_candidate ?k ?engine ~keep ~usable_servers net request with
+    | None -> Error "no feasible pseudo-multicast tree"
+    | Some (aux_cost, subset, aux, edges) ->
       let tree = Aux_graph.to_pseudo_tree aux edges in
       let combinations = combinations_explored ?k aux in
       Ok
@@ -109,6 +130,26 @@ let solve ?k ?window net request =
   in
   solve_with ?k ?engine ~keep:(fun _ -> true)
     ~usable_servers:(Sdn.Network.servers net) net request
+
+let price ?(k = default_k) ?window net request =
+  let solved () =
+    match solve ~k ?window net request with
+    | Ok res -> res.cost
+    | Error _ -> infinity
+  in
+  match window with
+  | None -> solved ()
+  | Some w -> (
+    if Sp_window.net w != net then
+      invalid_arg "Appro_multi.price: window over another network";
+    match Sp_window.find_price w ~k request with
+    | Some c ->
+      Obs.Counter.incr c_price_hits;
+      c
+    | None ->
+      let c = solved () in
+      Sp_window.store_price w ~k request c;
+      c)
 
 let capacitated_filters net request =
   let b = request.Sdn.Request.bandwidth in

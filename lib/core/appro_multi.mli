@@ -31,8 +31,32 @@ val solve :
 (** Uncapacitated [Appro_Multi] with at most [k] (default 3, as in the
     paper's evaluation) servers per request. [?window] shares the base
     shortest-path engine across requests of equal bandwidth (the default
-    weights are [b_k·c_e], so the bandwidth keys the engine family) —
-    results are identical to the default private engine. *)
+    weights are [b_k·c_e], so the bandwidth keys the engine family)
+    through an epoch-free {!Sp_window.static_engine} — results are
+    identical to the default private engine. Only the winning candidate
+    is kept (a running minimum under {!candidates}' order); nothing is
+    sorted. *)
+
+val price :
+  ?k:int -> ?window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t -> float
+(** The static admission price of a request: the [cost] of
+    [solve ?k ?window net r], or [infinity] when no tree exists. The
+    backlog and batch orderings that rank requests by price
+    ([Restore]'s [Knapsack Priced], [Batch]'s [Cheapest_first]) go
+    through this function.
+
+    {b Purity.} The uncapacitated solve reads only static inputs:
+    [b·c_e], [chain_cost] and the full server list. It reads no
+    residual, so the price of a request is a pure function of
+    [(net's static inputs, r, k)] and cannot move under allocate,
+    release or fault confiscation. That is what makes the memo exact:
+    through a [window] the first call for [(r.id, k)] solves and
+    stores the price in the window ({!Sp_window.store_price}); later
+    calls with a structurally equal request return it without solving
+    and count under the [appro_multi.price_hits] counter. Without a
+    window every call solves — the slow reference the memo is tested
+    against. Raises [Invalid_argument] if [window] is over another
+    network. *)
 
 val solve_capacitated :
   ?k:int -> ?window:Sp_window.t -> Sdn.Network.t -> Sdn.Request.t ->

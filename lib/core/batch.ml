@@ -36,15 +36,7 @@ let reorder ?k ?window net requests = function
     List.stable_sort (fun a b -> compare (footprint b) (footprint a)) requests
   | Cheapest_first ->
     let priced =
-      List.map
-        (fun r ->
-          let price =
-            match Appro_multi.solve ?k ?window net r with
-            | Ok res -> res.Appro_multi.cost
-            | Error _ -> infinity
-          in
-          (price, r))
-        requests
+      List.map (fun r -> (Appro_multi.price ?k ?window net r, r)) requests
     in
     List.map snd (List.stable_sort (fun (a, _) (b, _) -> compare a b) priced)
 

@@ -34,13 +34,13 @@ val reorder :
   order -> Sdn.Request.t list
 (** Apply an ordering policy without admitting anything: the exact
     reordering {!plan} uses. [Cheapest_first] prices every request with
-    one uncapacitated {!Appro_multi.solve} against the network's
-    {e current} residuals (through [window] when given, so pricing can
-    share cached engines with a surrounding run); the other policies
-    read only the requests. All sorts are stable, so equal keys keep
-    their sequence order. Also the ordering stage of the dynamic
-    simulator's heal-triggered restoration pass
-    ({!Dynamic.run}~[faults]). *)
+    {!Appro_multi.price} (one uncapacitated solve, which reads no
+    residual; unpriceable requests go last). Through [window] each
+    distinct request is solved once per window and repeat orderings
+    answer from its memo; the other policies read only the requests.
+    All sorts are stable, so equal keys keep their sequence order.
+    Also the ordering stage of the dynamic simulator's heal-triggered
+    restoration pass ({!Dynamic.run}~[faults]). *)
 
 val plan :
   ?k:int -> ?reset:bool -> ?srlg:Online_cp.avail -> Sdn.Network.t ->

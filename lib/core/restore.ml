@@ -61,7 +61,7 @@ let select ?k ?window ~returned net t entries =
        whose footprint fits the returned headroom come first (they can
        plausibly be paid for by the heal alone), descending density
        within each class. Densities are computed before sorting so
-       Priced runs exactly one solve per entry. *)
+       Priced asks for exactly one price per entry. *)
     let fits fp = fp <= returned *. (1.0 +. 1e-9) in
     let scored =
       List.map
@@ -70,12 +70,13 @@ let select ?k ?window ~returned net t entries =
           let density =
             match v with
             | Volume -> fp
-            | Priced -> (
-              match Appro_multi.solve ?k ?window net e.request with
-              | Ok res when res.Appro_multi.cost > 0.0 ->
-                fp /. res.Appro_multi.cost
-              | Ok _ -> infinity (* free tree: infinitely dense *)
-              | Error _ -> 0.0 (* unpriceable: attempt last, never skip *))
+            | Priced ->
+              (* unpriceable (infinity): attempt last, never skip;
+                 a free tree is infinitely dense *)
+              let c = Appro_multi.price ?k ?window net e.request in
+              if c = infinity then 0.0
+              else if c > 0.0 then fp /. c
+              else infinity
           in
           (fits fp, density, e.request))
         base

@@ -29,10 +29,11 @@ type value =
   | Volume  (** bandwidth × terminal count — restore the most traffic *)
   | Priced
       (** bandwidth × terminal count per unit admission price, priced
-          with one uncapacitated {!Appro_multi.solve} against current
-          residuals (through the pass's shared {!Sp_window});
-          unpriceable requests (no feasible tree) score zero and sort
-          last, so an infeasible entry can never wedge the pass *)
+          with {!Appro_multi.price} (one uncapacitated solve, which
+          reads no residual). Through the run's shared {!Sp_window}
+          each distinct request is solved once per run, not once per
+          pass. Unpriceable requests (no feasible tree) score zero and
+          sort last, so an infeasible entry can never wedge the pass *)
 
 (** How a restoration pass orders the backlog. *)
 type policy =
@@ -108,7 +109,8 @@ val select :
     bandwidth, so its passes run with [returned = 0.] and the knapsack
     degenerates to pure density order — still deterministic, just
     unclassified. [window] lets {!Priced} (and [Replay Cheapest_first])
-    share the surrounding run's cached shortest-path engines.
+    answer repeat prices from the surrounding run's memo and share its
+    static shortest-path engines; without it every entry is solved.
 
     [select t] with [t = default] returns exactly
     [Batch.reorder ?k ?window net (id-sorted requests)

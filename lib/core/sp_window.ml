@@ -4,7 +4,9 @@
    one weight epoch that equality is decidable from a cheap key — the
    caller-chosen family string plus the bandwidth's feasibility bucket
    (two bandwidths prune the same saturated-link set iff the same number
-   of residuals lies below them, because the pruned sets are nested). *)
+   of residuals lies below them, because the pruned sets are nested).
+   Static families (weights that read no residual) bypass the epoch
+   altogether, and the window also carries the static price memo. *)
 
 module Sp = Mcgraph.Sp_engine
 module Obs = Nfv_obs.Obs
@@ -17,6 +19,9 @@ type stats = { engines : int; acquisitions : int; reuses : int }
 type t = {
   net : Sdn.Network.t;
   engines : (string * int, Sp.t) Hashtbl.t;
+  statics : (string, Sp.t) Hashtbl.t;  (* epoch-free, keyed by family *)
+  prices : (int * int, Sdn.Request.t * float) Hashtbl.t;
+      (* (request id, k) -> the request priced and its price *)
   mutable residuals_epoch : int;      (* epoch [sorted_residuals] is valid at *)
   mutable sorted_residuals : float array;
   mutable acquisitions : int;
@@ -27,6 +32,8 @@ let create net =
   {
     net;
     engines = Hashtbl.create 8;
+    statics = Hashtbl.create 8;
+    prices = Hashtbl.create 64;
     residuals_epoch = min_int;
     sorted_residuals = [||];
     acquisitions = 0;
@@ -59,26 +66,48 @@ let bucket t ~bandwidth =
   done;
   !lo
 
-let engine t ~family ~bucket:bkt ~weight =
+let acquire t tbl key ~weight ~create =
   t.acquisitions <- t.acquisitions + 1;
-  let key = (family, bkt) in
-  match Hashtbl.find_opt t.engines key with
+  match Hashtbl.find_opt tbl key with
   | Some eng ->
     (* same key: either the epoch is unchanged (closures extensionally
        equal by the caller's keying, cached trees stay valid) or it
-       moved (renew sweeps before swapping the closure) *)
+       moved (renew sweeps before swapping the closure); a static
+       engine's epoch never moves *)
     Sp.renew eng ~weight;
     t.reuses <- t.reuses + 1;
     Obs.Counter.incr c_reuses;
     eng
   | None ->
-    let eng =
-      Sp.create (Sdn.Network.graph t.net) ~weight
-        ~epoch:(fun () -> Sdn.Network.weight_epoch t.net)
-    in
-    Hashtbl.replace t.engines key eng;
+    let eng = create () in
+    Hashtbl.replace tbl key eng;
     Obs.Counter.incr c_creates;
     eng
 
+let engine t ~family ~bucket:bkt ~weight =
+  acquire t t.engines (family, bkt) ~weight ~create:(fun () ->
+      Sp.create (Sdn.Network.graph t.net) ~weight
+        ~epoch:(fun () -> Sdn.Network.weight_epoch t.net))
+
+(* no epoch: the caller's weight reads no residual, so allocate,
+   release and fault confiscation leave every cached tree valid *)
+let static_engine t ~family ~weight =
+  acquire t t.statics family ~weight ~create:(fun () ->
+      Sp.create (Sdn.Network.graph t.net) ~weight)
+
+(* a hit needs the stored request structurally equal to the asked one,
+   so a reused id cannot alias an earlier request's price *)
+let find_price t ~k (r : Sdn.Request.t) =
+  match Hashtbl.find_opt t.prices (r.Sdn.Request.id, k) with
+  | Some (stored, price) when stored = r -> Some price
+  | _ -> None
+
+let store_price t ~k (r : Sdn.Request.t) price =
+  Hashtbl.replace t.prices (r.Sdn.Request.id, k) (r, price)
+
 let stats t =
-  { engines = Hashtbl.length t.engines; acquisitions = t.acquisitions; reuses = t.reuses }
+  {
+    engines = Hashtbl.length t.engines + Hashtbl.length t.statics;
+    acquisitions = t.acquisitions;
+    reuses = t.reuses;
+  }

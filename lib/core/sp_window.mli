@@ -43,14 +43,38 @@
     weights, which is the contract {!Mcgraph.Sp_engine.renew} needs to
     swap closures without dropping valid trees. With the key discipline
     above, every admission outcome is bit-identical to the fresh-engine
-    behaviour this module replaces. *)
+    behaviour this module replaces.
+
+    {2 Static engines}
+
+    Some weight families read no residual at all: uncapacitated
+    [Appro_Multi] prices a link at [b·c_e] with nothing pruned. For
+    those, {!static_engine} hands out an engine created {e without} the
+    network's weight epoch, so allocate, release and fault confiscation
+    never evict its trees; the key is the family alone (no bucket, since
+    nothing is pruned). {b Contract:} a static engine's weight function
+    is a pure function of the edge id and the network's static inputs
+    (link unit costs, server list, chain costs) — it reads no residual
+    and no [link_admits]. Two acquisitions under one family must pass
+    extensionally equal weights; the caller encodes every parameter the
+    closure reads (e.g. the bandwidth's bits) in [family].
+
+    {2 Price memo}
+
+    The window also memoises static request prices ({!find_price},
+    {!store_price}) for {!Appro_multi.price}. Its lifetime is the
+    window's (one per {!Dynamic.run} or {!Batch.plan}); it holds one
+    entry per distinct [(request id, k)] priced through the window, and
+    an entry answers only a request structurally equal to the one it was
+    stored for, so a reused id cannot alias. *)
 
 type t
 (** A per-(network, admission-window) engine cache. *)
 
 type stats = {
-  engines : int;       (** distinct (family, bucket) engines created *)
-  acquisitions : int;  (** {!engine} calls served *)
+  engines : int;       (** distinct engines created: (family, bucket)
+                           keys plus static families *)
+  acquisitions : int;  (** {!engine} and {!static_engine} calls served *)
   reuses : int;        (** acquisitions answered by an existing engine *)
 }
 
@@ -73,6 +97,23 @@ val engine :
     [weight] (see {!Mcgraph.Sp_engine.renew}) on reuse. The caller
     guarantees the keying discipline of the module header. Telemetry:
     [sp_window.engine_creates] / [sp_window.engine_reuses]. *)
+
+val static_engine :
+  t -> family:string -> weight:(int -> float) -> Mcgraph.Sp_engine.t
+(** [static_engine t ~family ~weight] is the window's epoch-free engine
+    for [family] (see {e Static engines} above), created on first use
+    and re-armed with [weight] on reuse. Its trees survive every
+    allocate, release and confiscation on the network, so it records no
+    evictions. Shares {!stats} and the [sp_window.*] telemetry with
+    {!engine}. *)
+
+val find_price : t -> k:int -> Sdn.Request.t -> float option
+(** The price stored for [(r.id, k)], if the stored request is
+    structurally equal to [r]. *)
+
+val store_price : t -> k:int -> Sdn.Request.t -> float -> unit
+(** Record [r]'s price under [(r.id, k)], replacing any earlier entry
+    for that key. *)
 
 val stats : t -> stats
 (** Lifetime acquisition counters of this window (always live, not

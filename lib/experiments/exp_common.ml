@@ -111,12 +111,6 @@ let as1755_network rng =
 let as4755_network rng =
   Sdn.Network.make_random_servers ~fraction:0.1 ~rng (Topology.Rocketfuel.as4755 ())
 
-(* One process-wide time source: [Nfv_obs.Obs.clock]. The experiments
-   layer used to keep a second ref that had to be kept in sync with the
-   telemetry clock by hand; [clock] is now an alias of the same ref and
-   is deprecated in the interface. *)
-let clock = Nfv_obs.Obs.clock
-
 let time_of f =
   let t0 = !Nfv_obs.Obs.clock () in
   let x = f () in

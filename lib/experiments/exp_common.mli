@@ -48,13 +48,6 @@ val as1755_network : Topology.Rng.t -> Sdn.Network.t
 
 val as4755_network : Topology.Rng.t -> Sdn.Network.t
 
-val clock : (unit -> float) ref
-[@@ocaml.deprecated
-  "Exp_common.clock is an alias of Nfv_obs.Obs.clock; set that instead."]
-(** The process time source. This is {e the same ref} as
-    [Nfv_obs.Obs.clock] — there is one clock for experiments and
-    telemetry — kept only for source compatibility. *)
-
 val time_of : (unit -> 'a) -> 'a * float
 (** Result and elapsed seconds per [Nfv_obs.Obs.clock] (default
     [Sys.time], process CPU time). Under [--jobs N] the default clock

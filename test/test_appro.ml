@@ -257,6 +257,31 @@ let prop_opt1_lower_bound =
         opt.E.cost <= base.O.cost +. 1e-6 && opt.E.cost <= appro.A.cost +. 1e-6
       | _ -> true)
 
+(* solve keeps only a running minimum; the ranked list is the slow
+   reference it must agree with, tie-breaks included *)
+let prop_solve_is_candidates_head =
+  Tutil.qtest ~count:150 "solve = head of candidates (running minimum)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, req = small_instance seed in
+      let k = 1 + (seed mod 3) in
+      let ranked =
+        A.candidates ~k ~keep:(fun _ -> true) ~usable_servers:(N.servers net)
+          net req
+      in
+      match (A.solve ~k net req, ranked) with
+      | Error _, [] -> true
+      | Ok res, (aux_cost, subset, aux, edges) :: _ ->
+        res.A.subset = List.sort compare subset
+        && Int64.equal
+             (Int64.bits_of_float res.A.aux_cost)
+             (Int64.bits_of_float aux_cost)
+        && Int64.equal
+             (Int64.bits_of_float res.A.cost)
+             (Int64.bits_of_float
+                (Pt.cost net (Nfv_multicast.Aux_graph.to_pseudo_tree aux edges)))
+      | _ -> false)
+
 let prop_k_improves =
   Tutil.qtest ~count:100 "appro(k=3) ≤ appro(k=1)"
     QCheck.(int_bound 100_000)
@@ -327,6 +352,7 @@ let () =
       ( "property",
         [
           prop_solution_valid;
+          prop_solve_is_candidates_head;
           prop_within_2opt1;
           prop_theorem_2k;
           prop_exact_oracles_agree;

@@ -15,6 +15,9 @@ module Batch = Nfv_multicast.Batch
 module R = Nfv_multicast.Restore
 module Rng = Topology.Rng
 module Obs = Nfv_obs.Obs
+module Sp = Mcgraph.Sp_engine
+module W = Nfv_multicast.Sp_window
+module A = Nfv_multicast.Appro_multi
 
 let with_obs f =
   Obs.enabled := true;
@@ -403,6 +406,175 @@ let test_infeasible_entry_attempted_last () =
   Alcotest.(check int) "the infeasible one failed" (f0 + 1)
     (counter "restoration.failed")
 
+(* ---- the static price fast paths against their slow references -------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* A static window engine under random allocate, release and fault
+   confiscation answers exactly what a fresh engine over the same
+   weights answers, and never evicts: its weight reads no residual, so
+   no epoch bump can make a cached tree stale. *)
+let static_engine_property seed =
+  let net, rng = Tutil.random_network seed ~lo:8 ~hi:20 in
+  let g = N.graph net and n = N.n net and m = N.m net in
+  let b = Rng.float_range rng 1.0 50.0 in
+  let weight e = b *. N.link_unit_cost net e in
+  let window = W.create net and fault = Fault.create net in
+  let acquire () = W.static_engine window ~family:"test.static" ~weight in
+  let eng = acquire () in
+  let held = ref [] in
+  let epoch0 = N.weight_epoch net in
+  for step = 1 to 40 do
+    (match Rng.int rng 5 with
+    | 0 | 1 -> (
+      let e = Rng.int rng m in
+      let amt =
+        Rng.float_range rng 0.0 (Float.max 0.0 (N.link_residual net e))
+      in
+      let alloc = { N.links = [ (e, amt) ]; nodes = [] } in
+      match N.allocate net alloc with
+      | Ok () -> held := alloc :: !held
+      | Error _ -> ())
+    | 2 -> (
+      match !held with
+      | a :: rest ->
+        N.release net a;
+        held := rest
+      | [] -> ())
+    | 3 -> ignore (Fault.inject fault ~live:[] (Fault.Link_down (Rng.int rng m)))
+    | _ -> ignore (Fault.inject fault ~live:[] (Fault.Link_up (Rng.int rng m))));
+    if acquire () != eng then
+      QCheck.Test.fail_reportf "step %d: the family's static engine was replaced"
+        step;
+    let fresh = Sp.create g ~weight in
+    for _ = 1 to 4 do
+      let u = Rng.int rng n and v = Rng.int rng n in
+      if
+        (not (same_bits (Sp.dist eng u v) (Sp.dist fresh u v)))
+        || Sp.path eng u v <> Sp.path fresh u v
+      then
+        QCheck.Test.fail_reportf "step %d: static %d -> %d differs from fresh"
+          step u v
+    done
+  done;
+  if N.weight_epoch net = epoch0 then
+    QCheck.Test.fail_reportf "no epoch bump: the churn exercised nothing";
+  (Sp.stats eng).Sp.invalidations = 0
+
+(* Dynamic.run under the priced policies; at every callback the tracked
+   backlog is priced through one long-lived window (memo + static
+   engines, across the run's allocations and faults) and again with no
+   window (a fresh solve). Returns how many backlog prices were
+   compared. *)
+let memo_agrees ~policy seed =
+  let net, rng = Tutil.random_network seed ~lo:10 ~hi:20 in
+  let trace = Dyn.poisson_trace rng net ~rate:3.0 ~mean_holding:20.0 ~count:24 in
+  let horizon =
+    List.fold_left (fun acc a -> Float.max acc a.Dyn.at) 1.0 trace *. 1.25
+  in
+  let timeline =
+    Fault.random_timeline ~heal_after:(horizon /. 8.0) ~rng ~horizon ~events:10
+      net
+  in
+  let request_of = Hashtbl.create 32 in
+  List.iter
+    (fun a ->
+      Hashtbl.replace request_of a.Dyn.request.Sdn.Request.id a.Dyn.request)
+    trace;
+  let k = 1 + (seed mod 3) in
+  let window = W.create net in
+  let backlog = Hashtbl.create 16 in
+  let compared = ref 0 in
+  let observe t h =
+    (match h with
+    | Dyn.Dropped { id } ->
+      Hashtbl.replace backlog id (Hashtbl.find request_of id)
+    | Dyn.Restored { id; _ } | Dyn.Departed { id; _ } -> Hashtbl.remove backlog id
+    | _ -> ());
+    Hashtbl.iter
+      (fun id r ->
+        incr compared;
+        let memo = A.price ~k ~window net r and reference = A.price ~k net r in
+        if not (same_bits memo reference) then
+          QCheck.Test.fail_reportf
+            "%s: request %d priced %h through the memo, %h fresh"
+            (describe (t, h)) id memo reference)
+      backlog
+  in
+  ignore
+    (Dyn.run
+       ~faults:(Dyn.make_faults ~restore:(Some policy) timeline)
+       ~observe net Adm.Online_cp trace);
+  !compared
+
+let priced_policies =
+  [
+    R.make ~policy:(R.Knapsack R.Priced) ~trigger:R.Heal_or_depart ();
+    R.make ~policy:(R.Replay Batch.Cheapest_first) ();
+  ]
+
+let memo_agrees_property seed =
+  List.iter (fun policy -> ignore (memo_agrees ~policy seed)) priced_policies;
+  true
+
+(* the property above must not pass vacuously on an empty backlog *)
+let test_memo_property_prices_a_backlog () =
+  List.iter
+    (fun policy ->
+      let compared =
+        List.fold_left ( + ) 0
+          (List.init 6 (fun seed -> memo_agrees ~policy seed))
+      in
+      if compared = 0 then
+        Alcotest.failf "%s: no backlog was ever priced" (R.to_string policy))
+    priced_policies
+
+(* Designed backlog on the spur net: three priceable entries and one
+   structurally infeasible one. Every price call is answered either by
+   a solve (counted as appro_multi.solved or .infeasible) or by a memo
+   hit (appro_multi.price_hits), never both. *)
+let test_memo_telemetry () =
+  with_obs @@ fun () ->
+  let net = spur_net () in
+  let r id bandwidth = mk_request ~id ~source:0 ~destinations:[ 2 ] ~bandwidth in
+  let infeasible =
+    mk_request ~id:3 ~source:0 ~destinations:[ 3 ] ~bandwidth:1.0
+  in
+  let reqs = [ r 0 5.0; r 1 3.0; r 2 8.0; infeasible ] in
+  let entries = List.map entry reqs in
+  let window = W.create net in
+  let priced = R.make ~policy:(R.Knapsack R.Priced) () in
+  let solves () =
+    counter "appro_multi.solved" + counter "appro_multi.infeasible"
+  in
+  let hits () = counter "appro_multi.price_hits" in
+  let s0 = solves () and h0 = hits () in
+  let calls = ref 0 in
+  (* three passes of one price per entry, then a Cheapest_first replay *)
+  for _ = 1 to 3 do
+    ignore (R.select ~window ~returned:0.0 net priced entries);
+    calls := !calls + List.length entries
+  done;
+  ignore (Batch.reorder ~window net reqs Batch.Cheapest_first);
+  calls := !calls + List.length reqs;
+  (* a reused id with another request must not alias: it solves, and so
+     does the original once its entry was replaced *)
+  let reused = r 0 9.0 in
+  Tutil.assert_close "reused id priced as itself" (A.price net reused)
+    (A.price ~window net reused);
+  Tutil.assert_close "original id re-solved" (A.price net (r 0 5.0))
+    (A.price ~window net (r 0 5.0));
+  (* the memo is keyed by k too: another K is another solve *)
+  ignore (A.price ~k:1 ~window net (r 1 3.0));
+  calls := !calls + 3;
+  let solved = solves () - s0 - 2 (* the two fresh reference prices *)
+  and hit = hits () - h0 in
+  Alcotest.(check int) "hits + solves = price calls" !calls (hit + solved);
+  Alcotest.(check int) "one solve per distinct (request, k)" 7 solved;
+  Alcotest.(check int) "every repeat is a hit" (!calls - 7) hit;
+  Alcotest.(check bool) "unpriceable prices at infinity" true
+    (A.price ~window net infeasible = infinity)
+
 let () =
   Alcotest.run "restore"
     [
@@ -425,5 +597,18 @@ let () =
             test_depart_trigger_restores_heal_free_tail;
           Alcotest.test_case "infeasible backlog entry attempted last" `Quick
             test_infeasible_entry_attempted_last;
+        ] );
+      ( "price memo",
+        [
+          Tutil.qtest ~count:40
+            "static window engine = fresh engine under churn, no evictions"
+            QCheck.small_nat static_engine_property;
+          Tutil.qtest ~count:25
+            "backlog prices: window memo = fresh solve at every event"
+            QCheck.small_nat memo_agrees_property;
+          Alcotest.test_case "the memo property prices a backlog" `Quick
+            test_memo_property_prices_a_backlog;
+          Alcotest.test_case "hits + solves = price calls" `Quick
+            test_memo_telemetry;
         ] );
     ]
