@@ -12,11 +12,12 @@ type result = {
   tree : Pseudo_tree.t;
   subset : int list;     (** the winning server combination *)
   aux_cost : float;      (** tree cost in the auxiliary graph — the
-                             objective Algorithm 1 minimises, with its
-                             zero-cost source–server edges *)
+                             objective Algorithm 1 minimises (no edge is
+                             zeroed, DESIGN.md §3) *)
   cost : float;          (** honest linear implementation cost of the
                              pseudo-multicast tree (every traversal and
-                             every placement charged); ≥ [aux_cost] *)
+                             every placement charged); [aux_cost] up to
+                             the order of the float sums *)
   combinations : int;    (** size of the explored search space: the
                              number of non-empty server subsets of size
                              ≤ [K] drawn from the reachable candidate

@@ -2,21 +2,25 @@
 
     For a request [r_k] the extended graph adds a virtual source [s'_k]
     and one virtual edge [(s'_k, v)] per candidate server [v], weighted
-    [b_k·d_G(s_k, v) + c_v(SC_k)]; base edges cost [b_k·c_e]; edges
-    [(s_k, v)] with [v] in the chosen server combination cost zero.
+    [b_k·d_G(s_k, v) + c_v(SC_k)]; base edges cost [b_k·c_e]. The paper
+    also zeroes the edges [(s_k, v)] for [v] in the chosen server
+    combination; this module does not (DESIGN.md §3 gives the reason).
 
     Instead of materialising one graph per server combination and
     re-running Dijkstra (the naive [O(|V_S|^K)] Dijkstra blow-up), the
     module evaluates each combination's metric exactly through a {e hub
-    decomposition}: every special edge (virtual or zeroed) is incident
-    to [s_k] or [s'_k], so any shortest path is base legs stitched at the
-    hubs [{s_k, s'_k} ∪ subset]. A small Floyd–Warshall over the hubs
-    yields exact distances and reconstructible paths. Base-graph legs
-    come from a lazy {!Mcgraph.Sp_engine}: one Dijkstra tree per queried
-    source (the request source, candidate servers, destinations), cached
-    across all combinations and keyed by the network's weight epoch —
-    never the former eager O(V²) all-pairs tables. Tests check this
-    against Dijkstra on a materialised auxiliary graph. *)
+    decomposition}: every virtual edge is incident to [s'_k], so any
+    shortest path is base legs stitched at the hubs
+    [{s_k, s'_k} ∪ subset]. A small Floyd–Warshall over the hubs yields
+    exact distances and reconstructible paths. Base-graph legs come from
+    a lazy {!Mcgraph.Sp_engine}: one Dijkstra tree per queried source
+    (the request source, candidate servers, destinations). Each tree is
+    read from the engine once per [t] and then served from its arrays to
+    every combination (DESIGN.md §17), so a [t] describes the network as
+    it was when the trees were first read and serves one request at one
+    weight epoch. Tests check the metric against Dijkstra on a
+    materialised auxiliary graph and, bit for bit, against the former
+    unfactored implementation. *)
 
 type t
 
@@ -65,14 +69,16 @@ val reachable_servers : t -> int list
 
 val base_dist : t -> int -> int -> float
 (** Shortest-path distance in the (pruned) base graph, in units of
-    [b_k·c_e]. Served by the lazy engine: the first query from a source
-    costs one Dijkstra, later queries from it are O(1). *)
+    [b_k·c_e]. The first query from a source reads its tree from the
+    engine (one Dijkstra unless the engine holds it); later queries from
+    it read the kept arrays. *)
 
 val base_path : t -> int -> int -> int list option
 
 val engine : t -> Mcgraph.Sp_engine.t
 (** The underlying per-source engine over the pruned base graph — epoch-
-    bound to the network, exposed for instrumentation and tests. *)
+    bound to the network, exposed for instrumentation and tests. [t]
+    reads each source's tree from it once. *)
 
 type subset_metric
 (** The exact metric of [G_k^i] for one server combination. *)
@@ -81,13 +87,16 @@ val subset_metric : t -> int list -> subset_metric
 (** Raises [Invalid_argument] if the subset contains a non-candidate. *)
 
 val weight : subset_metric -> int -> float
-(** Per-edge weight of the auxiliary graph under this combination
-    ([infinity] for pruned base edges and other combinations' virtual
-    edges; [0] for zeroed source–server edges). *)
+(** Per-edge weight of the auxiliary graph under this combination:
+    [b_k·c_e] for a kept base edge, the virtual-edge weight for a server
+    of the combination, [infinity] for pruned base edges and other
+    servers' virtual edges. *)
 
 val dist : subset_metric -> int -> int -> float
 (** Exact shortest-path distance in [G_k^i] between any two extended
-    nodes (the virtual node included). *)
+    nodes (the virtual node included). Staged: [dist sm x] does the work
+    that depends on [x] alone, and the closure it returns answers each
+    [y] in O(K). *)
 
 val path : subset_metric -> int -> int -> int list option
 (** Edge ids realising [dist], in travel order. *)

@@ -329,6 +329,43 @@ let prop_capacitated_never_exceeds =
         (N.servers net);
       !ok)
 
+(* the dense subset loop against the former one as a plain fold, on
+   networks with {1, 2} unit costs (even seeds: equal-cost trees abound,
+   so any change of tie order shows) and default random costs *)
+let prop_solve_matches_reference =
+  Tutil.qtest ~count:60
+    "solve = reference fold (cost bits, subset, tree, Dijkstra runs)"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let net, rng =
+        if seed mod 2 = 0 then Tutil.tie_network seed ~lo:6 ~hi:20
+        else Tutil.random_network seed ~lo:6 ~hi:20
+      in
+      List.for_all
+        (fun id ->
+          let req = Tutil.random_request rng net ~id in
+          let k = 1 + Rng.int rng 3 in
+          (* Dijkstra trees each side computes: the dense loop reads the
+             same sources as the reference *)
+          let trees f =
+            let before = Mcgraph.Sp_engine.global_trees_computed () in
+            let r = f () in
+            (r, Mcgraph.Sp_engine.global_trees_computed () - before)
+          in
+          let solved, runs = trees (fun () -> A.solve ~k net req) in
+          let reference, ref_runs = trees (fun () -> Reference.appro_solve ~k net req) in
+          runs = ref_runs
+          &&
+          match (solved, reference) with
+          | Error _, None -> true
+          | Ok res, Some (aux_cost, subset, tree) ->
+            Tutil.same_bits res.A.aux_cost aux_cost
+            && Tutil.same_bits res.A.cost (Pt.cost net tree)
+            && res.A.subset = List.sort compare subset
+            && res.A.tree = tree
+          | _ -> false)
+        [ 0; 1; 2 ])
+
 let () =
   Alcotest.run "appro"
     [
@@ -353,6 +390,7 @@ let () =
         [
           prop_solution_valid;
           prop_solve_is_candidates_head;
+          prop_solve_matches_reference;
           prop_within_2opt1;
           prop_theorem_2k;
           prop_exact_oracles_agree;

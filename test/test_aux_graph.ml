@@ -227,6 +227,57 @@ let prop_metric_exact_pruned =
         !ok
       end)
 
+(* ---- bit-exact equivalence with the unfactored reference ---- *)
+
+(* even seeds draw {1, 2} unit costs (ties everywhere), odd seeds the
+   default random costs *)
+let ref_instance seed =
+  let net, rng =
+    if seed mod 2 = 0 then Tutil.tie_network seed ~lo:6 ~hi:18
+    else Tutil.random_network seed ~lo:6 ~hi:18
+  in
+  let request = Tutil.random_request rng net ~id:0 in
+  let aux = Aux.build ~net ~request ~candidate_servers:(N.servers net) () in
+  (net, request, aux)
+
+(* [f] on the library's and the reference's metric of every subset of at
+   most three reachable servers *)
+let for_all_subsets (net, request, aux) f =
+  let base_weight e = request.Sdn.Request.bandwidth *. N.link_unit_cost net e in
+  let source = request.Sdn.Request.source in
+  List.for_all
+    (fun subset ->
+      f (Aux.subset_metric aux subset)
+        (Reference.subset_metric aux ~source ~base_weight subset))
+    (Nfv_multicast.Combinations.subsets_up_to (Aux.reachable_servers aux) 3)
+
+let for_all_pairs aux p =
+  let n = G.n (Aux.ext_graph aux) in
+  let ok = ref true in
+  for x = 0 to n - 1 do
+    for y = 0 to n - 1 do
+      if not (p x y) then ok := false
+    done
+  done;
+  !ok
+
+let prop_dist_matches_reference =
+  Tutil.qtest ~count:40 "factored dist = reference, bit for bit, every pair"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let (_, _, aux) as inst = ref_instance seed in
+      for_all_subsets inst (fun sm rsm ->
+          for_all_pairs aux (fun x y ->
+              Tutil.same_bits (Aux.dist sm x y) (Reference.dist rsm x y))))
+
+let prop_path_matches_reference =
+  Tutil.qtest ~count:30 "path = reference edge list, every pair"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let (_, _, aux) as inst = ref_instance seed in
+      for_all_subsets inst (fun sm rsm ->
+          for_all_pairs aux (fun x y -> Aux.path sm x y = Reference.path rsm x y)))
+
 let () =
   Alcotest.run "aux_graph"
     [
@@ -245,5 +296,7 @@ let () =
           prop_path_realises_dist;
           prop_pseudo_tree_valid;
           prop_cost_agreement;
+          prop_dist_matches_reference;
+          prop_path_matches_reference;
         ] );
     ]

@@ -47,6 +47,12 @@ let test_prune () =
   Alcotest.(check (list int)) "dangling removed" [ 0; 1; 2 ]
     (List.sort compare pruned)
 
+(* an isolated non-terminal edge goes; a terminal leaf stays *)
+let test_prune_isolated_edge () =
+  let g = G.of_edges ~n:5 [ (0, 1); (1, 2); (3, 4) ] in
+  Alcotest.(check (list int)) "isolated edge removed" [ 0; 1 ]
+    (S.prune g ~terminals:[ 0; 2 ] [ 0; 1; 2 ])
+
 let test_prune_cascades () =
   (* chain 0-1-2-3 with terminal only at 0: everything prunes away *)
   let g = G.of_edges ~n:4 [ (0, 1); (1, 2); (2, 3) ] in
@@ -158,6 +164,46 @@ let prop_two_terminals =
         | _ -> false
       end)
 
+(* A random forest: edges taken in shuffled order, each with probability
+   1/2 when it joins two components, so isolated edges and bare paths are
+   common; terminals are any subset of the nodes, leaves included. *)
+let random_forest seed =
+  let g, rng = Tutil.random_connected_graph seed ~lo:2 ~hi:25 in
+  let ids = Array.init (G.m g) Fun.id in
+  Topology.Rng.shuffle rng ids;
+  let uf = Mcgraph.Union_find.create (G.n g) in
+  let forest =
+    List.filter
+      (fun e ->
+        Topology.Rng.bool rng
+        &&
+        let u, v = G.endpoints g e in
+        Mcgraph.Union_find.union uf u v)
+      (Array.to_list ids)
+  in
+  let k = Topology.Rng.int rng (G.n g + 1) in
+  (g, forest, Topology.Rng.sample_without_replacement rng k (G.n g))
+
+let prop_prune_matches_reference =
+  Tutil.qtest ~count:300 "prune = reference on random forests"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g, forest, terminals = random_forest seed in
+      S.prune g ~terminals forest = Reference.prune g ~terminals forest)
+
+(* weights in {1, 2, 3}: equal-cost paths and closure edges everywhere *)
+let prop_kmb_matches_reference =
+  Tutil.qtest ~count:200 "kmb = reference kmb under tied weights"
+    QCheck.(int_bound 100_000)
+    (fun seed ->
+      let g, rng = Tutil.random_connected_graph seed ~lo:3 ~hi:25 in
+      let w = Array.init (G.m g) (fun _ -> float_of_int (1 + Topology.Rng.int rng 3)) in
+      let weight = Tutil.weight_fn w in
+      let n = G.n g in
+      let t = 2 + Topology.Rng.int rng (min 6 (n - 1)) in
+      let terminals = Topology.Rng.sample_without_replacement rng t n in
+      S.kmb g ~weight ~terminals = Reference.kmb g ~weight ~terminals)
+
 let () =
   Alcotest.run "steiner"
     [
@@ -169,6 +215,7 @@ let () =
           Alcotest.test_case "unreachable" `Quick test_unreachable;
           Alcotest.test_case "prune" `Quick test_prune;
           Alcotest.test_case "prune cascades" `Quick test_prune_cascades;
+          Alcotest.test_case "prune isolated edge" `Quick test_prune_isolated_edge;
           Alcotest.test_case "exact on C4" `Quick test_exact_known;
           Alcotest.test_case "exact uses steiner node" `Quick test_exact_steiner_node;
           Alcotest.test_case "exact terminal guard" `Quick test_exact_too_many_terminals;
@@ -181,5 +228,7 @@ let () =
           prop_kmb_ratio;
           prop_exact_lower_bounds_kmb;
           prop_two_terminals;
+          prop_prune_matches_reference;
+          prop_kmb_matches_reference;
         ] );
     ]

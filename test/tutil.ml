@@ -59,3 +59,26 @@ let check_float = Alcotest.float 1e-6
 let assert_close ?(eps = 1e-6) msg a b =
   if Float.abs (a -. b) > eps *. (1.0 +. Float.abs a +. Float.abs b) then
     Alcotest.failf "%s: %.9g <> %.9g" msg a b
+
+(* a random network whose link and server unit costs are drawn from
+   {1, 2}: equal-cost paths and equal-cost trees are everywhere *)
+let tie_network seed ~lo ~hi =
+  let g, rng = random_connected_graph seed ~lo ~hi in
+  let n = G.n g and m = G.m g in
+  let unit_cost () = float_of_int (1 + Rng.int rng 2) in
+  let servers =
+    List.map
+      (fun v -> (v, 1e6, unit_cost ()))
+      (Rng.sample_without_replacement rng (max 1 (n / 4)) n)
+  in
+  let net =
+    Sdn.Network.make_explicit
+      ~topology:(Topology.Topo.make ~name:"ties" g)
+      ~servers ~link_capacities:(Array.make m 1e6)
+      ~link_unit_costs:(Array.init m (fun _ -> unit_cost ()))
+      ()
+  in
+  (net, rng)
+
+(* equal as IEEE bit patterns, not merely within a tolerance *)
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
