@@ -97,15 +97,17 @@ let bellman_ford g ~weight ~source =
   done;
   { source; dist; parent_edge; parent }
 
+let path_edges_onto spt target acc =
+  if spt.dist.(target) = infinity then invalid_arg "Paths.path_edges_onto: unreachable";
+  let rec walk v acc =
+    if v = spt.source then acc
+    else walk spt.parent.(v) (spt.parent_edge.(v) :: acc)
+  in
+  walk target acc
+
 let path_edges _g spt target =
   if spt.dist.(target) = infinity then None
-  else begin
-    let rec walk v acc =
-      if v = spt.source then acc
-      else walk spt.parent.(v) (spt.parent_edge.(v) :: acc)
-    in
-    Some (walk target [])
-  end
+  else Some (path_edges_onto spt target [])
 
 let path_nodes _g spt target =
   if spt.dist.(target) = infinity then None

@@ -24,6 +24,11 @@ val path_edges : Graph.t -> spt -> int -> int list option
 (** Edge ids of the tree path from the source to a node, in travel
     order; [None] if unreachable, [Some []] for the source itself. *)
 
+val path_edges_onto : spt -> int -> int list -> int list
+(** [path_edges_onto spt target acc] is the same path prepended onto
+    [acc], without an intermediate list. Raises [Invalid_argument] if
+    [target] is unreachable. *)
+
 val path_nodes : Graph.t -> spt -> int -> int list option
 (** Nodes of the same path, starting with the source. *)
 
